@@ -1,5 +1,5 @@
 //! Campaign throughput: the seed's serial name-map campaign loop against
-//! the slot-resolved, sharded `run_campaign` (§2.5 contemplates millions
+//! the compiled, sharded `run_campaign` (§2.5 contemplates millions
 //! of runs, so driver throughput is the experiment bottleneck).
 //!
 //! The baseline reconstructs the pre-optimization code path exactly: the
@@ -109,7 +109,7 @@ fn main() {
     // The streams must be bit-identical — only the wall clock may move.
     let serial = config.with_jobs(1);
     let mut engine_times: Vec<(Engine, Duration)> = Vec::new();
-    for engine in [Engine::NameMap, Engine::Slots, Engine::Bytecode] {
+    for engine in [Engine::NameMap, Engine::Bytecode] {
         let mut best = Duration::MAX;
         for _ in 0..REPS {
             let start = Instant::now();
@@ -133,51 +133,51 @@ fn main() {
             .1
             .as_secs_f64()
     };
-    let slot_secs = secs_of(Engine::Slots);
+    let namemap_secs = secs_of(Engine::NameMap);
     let mut engine_rows = String::new();
     for (engine, t) in &engine_times {
         let secs = t.as_secs_f64();
         println!(
-            "  engine {:>8}: {secs:>9.3} s   {:>9.0} runs/s   {:.2}x vs slot",
+            "  engine {:>8}: {secs:>9.3} s   {:>9.0} runs/s   {:.2}x vs namemap",
             engine.name(),
             TRIALS as f64 / secs,
-            slot_secs / secs,
+            namemap_secs / secs,
         );
         if !engine_rows.is_empty() {
             engine_rows.push_str(",\n");
         }
         engine_rows.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"seconds\": {secs:.6}, \"runs_per_sec\": {:.0}, \"speedup_vs_slot\": {:.3}}}",
+            "    {{\"engine\": \"{}\", \"seconds\": {secs:.6}, \"runs_per_sec\": {:.0}, \"speedup_vs_namemap\": {:.3}}}",
             engine.name(),
             TRIALS as f64 / secs,
-            slot_secs / secs,
+            namemap_secs / secs,
         ));
     }
-    let bytecode_vs_slot = slot_secs / secs_of(Engine::Bytecode);
+    let bytecode_vs_namemap = namemap_secs / secs_of(Engine::Bytecode);
 
     // Instrumented vs stripped: the same trials through the
     // observation-free binary (sites stripped — the paper's baseline
-    // build), slot vs bytecode.  This isolates the dispatch-loop gain
+    // build), namemap vs bytecode.  This isolates the dispatch-loop gain
     // from instrumentation and sampling bookkeeping.
     let stripped = cbi::instrument::strip_sites(
         &instrument(&program, config.scheme)
             .expect("instrument")
             .program,
     );
-    let stripped_slots = cbi::minic::lower(&stripped);
-    let stripped_bc = cbi::vm::bytecode::compile(&stripped_slots);
+    let stripped_bc = cbi::vm::bytecode::compile(&cbi::minic::lower(&stripped));
     let mut stripped_rows = String::new();
-    let mut stripped_slot_secs = 0.0f64;
-    for engine in [Engine::Slots, Engine::Bytecode] {
+    let mut stripped_namemap_secs = 0.0f64;
+    for engine in [Engine::NameMap, Engine::Bytecode] {
         let mut best = Duration::MAX;
         for _ in 0..REPS {
             let start = Instant::now();
             for input in &trials {
                 let mut vm = match engine {
                     Engine::Bytecode => Vm::from_bytecode(&stripped_bc),
-                    _ => Vm::from_slots(&stripped_slots),
+                    Engine::NameMap => Vm::new(&stripped),
                 };
-                vm.with_input(&input[..])
+                vm.with_engine(engine)
+                    .with_input(&input[..])
                     .with_op_limit(config.op_limit)
                     .with_heap_slack(config.heap_slack)
                     .run()
@@ -186,23 +186,23 @@ fn main() {
             best = best.min(start.elapsed());
         }
         let secs = best.as_secs_f64();
-        if engine == Engine::Slots {
-            stripped_slot_secs = secs;
+        if engine == Engine::NameMap {
+            stripped_namemap_secs = secs;
         }
         println!(
-            "  stripped {:>8}: {secs:>9.3} s   {:>9.0} runs/s   {:.2}x vs slot",
+            "  stripped {:>8}: {secs:>9.3} s   {:>9.0} runs/s   {:.2}x vs namemap",
             engine.name(),
             TRIALS as f64 / secs,
-            stripped_slot_secs / secs,
+            stripped_namemap_secs / secs,
         );
         if !stripped_rows.is_empty() {
             stripped_rows.push_str(",\n");
         }
         stripped_rows.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"seconds\": {secs:.6}, \"runs_per_sec\": {:.0}, \"speedup_vs_slot\": {:.3}}}",
+            "    {{\"engine\": \"{}\", \"seconds\": {secs:.6}, \"runs_per_sec\": {:.0}, \"speedup_vs_namemap\": {:.3}}}",
             engine.name(),
             TRIALS as f64 / secs,
-            stripped_slot_secs / secs,
+            stripped_namemap_secs / secs,
         ));
     }
 
@@ -298,7 +298,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"ccrypt\",\n  \"scheme\": \"returns\",\n  \"density\": \"1/100\",\n  \"trials\": {TRIALS},\n  \"jobs\": {JOBS},\n  \"reports\": {},\n  \"dropped\": {},\n  \"baseline_seconds\": {:.6},\n  \"optimized_seconds\": {:.6},\n  \"speedup\": {speedup:.3},\n  \"bytecode_vs_slot\": {bytecode_vs_slot:.3},\n  \"engines\": [\n{engine_rows}\n  ],\n  \"stripped\": [\n{stripped_rows}\n  ],\n  \"telemetry\": [\n{telemetry_rows}\n  ],\n  \"wire\": [\n{wire_rows}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"ccrypt\",\n  \"scheme\": \"returns\",\n  \"density\": \"1/100\",\n  \"trials\": {TRIALS},\n  \"jobs\": {JOBS},\n  \"reports\": {},\n  \"dropped\": {},\n  \"baseline_seconds\": {:.6},\n  \"optimized_seconds\": {:.6},\n  \"speedup\": {speedup:.3},\n  \"bytecode_vs_namemap\": {bytecode_vs_namemap:.3},\n  \"engines\": [\n{engine_rows}\n  ],\n  \"stripped\": [\n{stripped_rows}\n  ],\n  \"telemetry\": [\n{telemetry_rows}\n  ],\n  \"wire\": [\n{wire_rows}\n  ]\n}}\n",
         result.collector.len(),
         result.dropped,
         baseline.as_secs_f64(),

@@ -2,11 +2,12 @@
 //! (baseline, unconditional, sampled) of a representative benchmark.
 //! The printed Table 2 uses deterministic op counts; this bench confirms
 //! the same ordering holds for real time in our interpreter, and shows
-//! the slot-resolved engine against the name-map reference engine.
+//! the bytecode engine against the name-map reference engine.
 
 use cbi::instrument::{apply_sampling, instrument, strip_sites, Scheme, TransformOptions};
-use cbi::minic::lower;
-use cbi::sampler::{CountdownBank, SamplingDensity};
+use cbi::minic::{lower, Program};
+use cbi::sampler::{LazyBank, SamplingDensity};
+use cbi::vm::bytecode::{compile, BcProgram};
 use cbi::vm::{Engine, Vm};
 use cbi::workloads::benchmark;
 use cbi_bench::harness::bench;
@@ -15,15 +16,16 @@ use std::hint::black_box;
 fn main() {
     let b = benchmark("mst").expect("benchmark exists");
     let inst = instrument(&b.program, Scheme::Checks).expect("instrument");
+    let build = |p: &Program| -> BcProgram { compile(&lower(p)) };
     let baseline = strip_sites(&inst.program);
-    let baseline_slots = lower(&baseline);
-    let inst_slots = lower(&inst.program);
+    let baseline_bc = build(&baseline);
+    let inst_bc = build(&inst.program);
     let (sampled, _) =
         apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
-    let sampled_slots = lower(&sampled);
+    let sampled_bc = build(&sampled);
 
     bench("table2_execution_mst/baseline", || {
-        black_box(Vm::from_slots(&baseline_slots).run().expect("run"))
+        black_box(Vm::from_bytecode(&baseline_bc).run().expect("run"))
     });
     bench("table2_execution_mst/baseline_namemap", || {
         black_box(
@@ -35,18 +37,18 @@ fn main() {
     });
     bench("table2_execution_mst/unconditional", || {
         black_box(
-            Vm::from_slots(&inst_slots)
+            Vm::from_bytecode(&inst_bc)
                 .with_sites(&inst.sites)
                 .run()
                 .expect("run"),
         )
     });
-    let mut bank = CountdownBank::generate(SamplingDensity::one_in(1000), 1024, 0);
+    let mut bank = LazyBank::new(SamplingDensity::one_in(1000), 1024, 0);
     let mut seed = 0;
     bench("table2_execution_mst/sampled_1in1000", || {
         seed += 1;
         bank.reseed(SamplingDensity::one_in(1000), seed);
-        let mut vm = Vm::from_slots(&sampled_slots);
+        let mut vm = Vm::from_bytecode(&sampled_bc);
         vm.with_sites(&inst.sites).with_sampling_ref(&mut bank);
         black_box(vm.run().expect("run"))
     });

@@ -40,9 +40,7 @@ fn main() {
         .unwrap_or(96);
 
     println!("== multi-bug iterative isolation (planted ground truth) ==");
-    println!(
-        "{size} entries per bug count, {trials} trials each, seed {seed:#x}, jobs {JOBS}"
-    );
+    println!("{size} entries per bug count, {trials} trials each, seed {seed:#x}, jobs {JOBS}");
     println!();
     println!(
         "{:<6} {:<11} {:>8} {:>7} {:>9} {:>10} {:>8} {:>9}",
@@ -111,11 +109,7 @@ fn main() {
                     .iter()
                     .map(|s| s.purity_mille * (s.failures - s.unexplained as u64))
                     .sum();
-                let purity = if clustered == 0 {
-                    0
-                } else {
-                    purity_weighted / clustered
-                };
+                let purity = purity_weighted.checked_div(clustered).unwrap_or(0);
                 let rank_sum: usize = scores.iter().map(|s| s.rank_sum()).sum();
                 let mean_rank = rank_sum as f64 / total_bugs as f64;
                 let iters: usize = scores.iter().map(|s| s.iterations).sum();

@@ -3,6 +3,7 @@
 use crate::args::Args;
 use cbi::prelude::*;
 use cbi::reports::wire;
+use cbi::sampler::LazyBank;
 use cbi::{EliminationReport, RegressionConfig, RegressionStudy};
 use std::fs;
 use std::io::Write as _;
@@ -60,13 +61,12 @@ usage:
 
   --engine E picks the interpreter: `bytecode` (default — programs are
   compiled once to flat instructions and dispatched by a straight-line
-  loop), `slot` (the slot-resolved tree walker), or `namemap` (the
-  name-map reference walker).  Every engine produces bit-identical
-  output; the flag is a throughput knob.  `cbi disasm` prints the
-  bytecode listing of a program — raw (--stage source), after
-  unconditional instrumentation (--stage instrument), or after the
-  sampling transformation (--stage sample), where the fast/slow region
-  clones and fused countdown ops are visible.
+  loop) or `namemap` (the name-map reference walker).  Both engines
+  produce bit-identical output; the flag is a throughput knob.
+  `cbi disasm` prints the bytecode listing of a program — raw (--stage
+  source), after unconditional instrumentation (--stage instrument), or
+  after the sampling transformation (--stage sample), where the
+  fast/slow region clones and fused countdown ops are visible.
 
   --jobs N shards campaign trials over N worker threads (reports are
   bit-identical at any job count).  --metrics prints a telemetry summary,
@@ -242,9 +242,8 @@ fn cmd_transform(args: &Args) -> Result<(), String> {
 fn engine_of(args: &Args) -> Result<Engine, String> {
     match args.flag("engine") {
         None => Ok(Engine::Bytecode),
-        Some(name) => Engine::parse(name).ok_or_else(|| {
-            format!("unknown engine `{name}` (expected bytecode, slot, or namemap)")
-        }),
+        Some(name) => Engine::parse(name)
+            .ok_or_else(|| format!("unknown engine `{name}` (expected bytecode or namemap)")),
     }
 }
 
@@ -368,7 +367,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             apply_sampling(&inst.program, &transform_options(args))
         })
         .map_err(|e| e.to_string())?;
-        let bank = CountdownBank::generate(SamplingDensity::one_in(density), 1024, seed);
+        let bank = LazyBank::new(SamplingDensity::one_in(density), 1024, seed);
         let result = cbi::telemetry::time("phase.execute", || {
             Vm::new(&sampled)
                 .with_engine(engine)
@@ -1076,7 +1075,10 @@ fn cmd_isolate(args: &Args) -> Result<(), String> {
     );
 
     let run = cbi_scoring::isolate(&index, &groups, scorer);
-    println!("isolation trace ({} scorer, scores in per-mille):", run.scorer);
+    println!(
+        "isolation trace ({} scorer, scores in per-mille):",
+        run.scorer
+    );
     println!();
     println!("initial ranking (top {top}):");
     for &(c, score) in run.initial_ranking.iter().take(top) {
@@ -1659,7 +1661,7 @@ mod tests {
     fn engine_flag_is_accepted_and_validated() {
         let p = tmp("prog-engine.mc", PROG);
         let inputs = tmp("inputs-engine.txt", "5\n4\n");
-        for engine in ["bytecode", "slot", "namemap"] {
+        for engine in ["bytecode", "namemap"] {
             dispatch_strs(&[
                 "campaign",
                 p.to_str().unwrap(),
@@ -1673,6 +1675,13 @@ mod tests {
         }
         let err = dispatch_strs(&["run", p.to_str().unwrap(), "--engine", "bogus"]).unwrap_err();
         assert!(err.contains("engine"), "{err}");
+        // `slot` is not an engine name: it fails like any unknown engine,
+        // and the error lists the valid ones.
+        let err = dispatch_strs(&["run", p.to_str().unwrap(), "--engine=slot"]).unwrap_err();
+        assert!(
+            err.contains("`slot`") && err.contains("expected bytecode or namemap"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!     countdown ops visible).
 //!
 //! cbi run <file.mc> [--scheme S] [--density D] [--seed N] [--input "1 2 3"]
-//!         [--engine bytecode|slot|namemap]
+//!         [--engine bytecode|namemap]
 //!     Run one sampled execution; print outcome, ops, output, and the
-//!     nonzero counters.  Every engine gives bit-identical results; the
+//!     nonzero counters.  Both engines give bit-identical results; the
 //!     bytecode dispatch loop is the default.
 //!
 //! cbi campaign <file.mc> <inputs.txt> [--scheme S] [--density D] [--seed N]

@@ -12,8 +12,8 @@ use cbi_instrument::{
     apply_sampling, instrument, single_function_variants, Scheme, TransformOptions,
 };
 use cbi_reports::Collector;
-use cbi_sampler::{CountdownBank, Pcg32, SamplingDensity};
-use cbi_vm::Vm;
+use cbi_sampler::{LazyBank, Pcg32, SamplingDensity};
+use cbi_vm::{bytecode, Vm};
 use cbi_workloads::{run_campaign, CampaignConfig, CampaignResult, WorkloadError};
 use std::collections::HashMap;
 
@@ -129,6 +129,7 @@ pub fn simulate_variant_fleet(
     let mut total_weight = 0.0;
     for v in &variants {
         let (exe, _) = apply_sampling(&v.program, &TransformOptions::default())?;
+        let exe = bytecode::compile(&cbi_minic::lower(&exe));
         let w = config
             .weights
             .iter()
@@ -142,6 +143,7 @@ pub fn simulate_variant_fleet(
     let mut rng = Pcg32::new(config.seed);
     let mut assignment: HashMap<String, usize> = HashMap::new();
     let mut observations: HashMap<String, u64> = HashMap::new();
+    let mut bank = LazyBank::new(config.density, 1024, config.seed);
     for (u, input) in trials.iter().take(config.users).enumerate() {
         // Weighted variant choice.
         let x = rng.next_f64() * total_weight;
@@ -151,11 +153,13 @@ pub fn simulate_variant_fleet(
         let (function, exe) = &compiled[k];
         *assignment.entry(function.clone()).or_insert(0) += 1;
 
-        let bank = CountdownBank::generate(config.density, 1024, config.seed + u as u64);
-        let result = Vm::new(exe)
+        if u > 0 {
+            bank.reseed(config.density, config.seed + u as u64);
+        }
+        let result = Vm::from_bytecode(exe)
             .with_sites(&inst.sites)
-            .with_sampling(Box::new(bank))
-            .with_input(input.clone())
+            .with_sampling_ref(&mut bank)
+            .with_input(&input[..])
             .run()?;
         let observed: u64 = result.counters.iter().sum();
         *observations.entry(function.clone()).or_insert(0) += observed;

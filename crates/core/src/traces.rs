@@ -11,8 +11,8 @@
 //! a crash points directly at the failure site.
 
 use cbi_instrument::{instrument, Scheme};
-use cbi_sampler::{CountdownBank, SamplingDensity};
-use cbi_vm::Vm;
+use cbi_sampler::{LazyBank, SamplingDensity};
+use cbi_vm::{bytecode, Vm};
 use cbi_workloads::WorkloadError;
 use std::collections::HashMap;
 
@@ -76,15 +76,19 @@ pub fn crash_proximity(
         &inst.program,
         &cbi_instrument::TransformOptions::default(),
     )?;
+    let compiled = bytecode::compile(&cbi_minic::lower(&executable));
 
     let mut last_counts: HashMap<usize, usize> = HashMap::new();
     let mut crashes_with_traces = 0;
+    let mut bank = LazyBank::new(config.density, 1024, config.seed);
     for (i, input) in trials.iter().enumerate() {
-        let bank = CountdownBank::generate(config.density, 1024, config.seed + i as u64);
-        let result = Vm::new(&executable)
+        if i > 0 {
+            bank.reseed(config.density, config.seed + i as u64);
+        }
+        let result = Vm::from_bytecode(&compiled)
             .with_sites(&inst.sites)
-            .with_sampling(Box::new(bank))
-            .with_input(input.clone())
+            .with_sampling_ref(&mut bank)
+            .with_input(&input[..])
             .with_trace(config.trace_limit)
             .run()?;
         if result.outcome.is_failure() {
@@ -148,7 +152,7 @@ mod tests {
         )
         .unwrap();
         for input in trials {
-            let bank = CountdownBank::generate(SamplingDensity::always(), 64, 1);
+            let bank = LazyBank::new(SamplingDensity::always(), 64, 1);
             let r = Vm::new(&executable)
                 .with_sites(&inst.sites)
                 .with_sampling(Box::new(bank))

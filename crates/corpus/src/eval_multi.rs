@@ -167,11 +167,9 @@ fn score_run(
         total_clustered += cluster.trials.len() as u64;
         plurality_of.push(winner);
     }
-    let purity_mille = if total_clustered == 0 {
-        0
-    } else {
-        matched_overlap * 1000 / total_clustered
-    };
+    let purity_mille = (matched_overlap * 1000)
+        .checked_div(total_clustered)
+        .unwrap_or(0);
     let outcomes = bug
         .faults
         .iter()
@@ -182,7 +180,7 @@ fn score_run(
             first_rank: rank_of(&run.initial_ranking, fault.true_counter)
                 .expect("ranking is total over the layout"),
             isolated_at: run.isolated_at(fault.true_counter),
-            recovered: plurality_of.iter().any(|&p| p == Some(b)),
+            recovered: plurality_of.contains(&Some(b)),
         })
         .collect();
     MultiEntryScore {
@@ -364,7 +362,11 @@ pub fn render_multi_report(report: &MultiEvalReport) -> String {
         "isolated"
     );
     for s in &report.scores {
-        let isolated = s.outcomes.iter().filter(|o| o.isolated_at.is_some()).count();
+        let isolated = s
+            .outcomes
+            .iter()
+            .filter(|o| o.isolated_at.is_some())
+            .count();
         let _ = writeln!(
             out,
             "{:<9} {:<11} {:>8} {:>4} {:>5} {:>5} {:>6} {:>7} {:>7} {:>9} {:>8}",
@@ -406,11 +408,7 @@ pub fn render_multi_summary(report: &MultiEvalReport) -> String {
             let Some(c) = cells.get(&(scorer_idx, density)) else {
                 continue;
             };
-            let purity = if c.clustered_runs == 0 {
-                0
-            } else {
-                c.purity_weighted / c.clustered_runs
-            };
+            let purity = c.purity_weighted.checked_div(c.clustered_runs).unwrap_or(0);
             let _ = writeln!(
                 out,
                 "{:<11} {:>8} {:>7} {:>5} {:>9} {:>7} {:>6} {:>7} {:>8}",

@@ -34,7 +34,7 @@ use cbi_instrument::{instrument, Scheme, SiteKind};
 use cbi_minic::{parse, pretty, Program};
 use cbi_sampler::{Pcg32, SamplingDensity};
 use cbi_testgen::{program_for_seed_with, GenConfig};
-use cbi_vm::Vm;
+use cbi_vm::{bytecode, Vm};
 use cbi_workloads::{
     bc_program, bc_trials, ccrypt_program, ccrypt_trials, run_campaign, BcTrialConfig,
     CampaignConfig, CcryptTrialConfig,
@@ -174,9 +174,10 @@ fn validate(source: &str, mutation: &Mutation, trials: &[Vec<i64>]) -> Option<Va
         }
         "conditional"
     };
+    let compiled = bytecode::compile(&cbi_minic::lower(&program));
     let mut baseline_failures = 0usize;
     for trial in trials {
-        let failed = match Vm::new(&program).with_input(trial.clone()).run() {
+        let failed = match Vm::from_bytecode(&compiled).with_input(&trial[..]).run() {
             Ok(result) => !result.outcome.is_success(),
             Err(_) => true,
         };
@@ -481,9 +482,10 @@ fn validate_multi(
             true_predicate: sites.predicate_name(tc),
         });
     }
+    let compiled = bytecode::compile(&cbi_minic::lower(&program));
     let mut baseline_failures = 0usize;
     for trial in trials {
-        let failed = match Vm::new(&program).with_input(trial.clone()).run() {
+        let failed = match Vm::from_bytecode(&compiled).with_input(&trial[..]).run() {
             Ok(result) => !result.outcome.is_success(),
             Err(_) => true,
         };
@@ -553,9 +555,13 @@ pub fn generate_multi_corpus(cfg: &MultiGenerateConfig) -> Result<Corpus, Corpus
         let mut ok = true;
         for k in (0..bugs).rev() {
             let op = &ops[(attempts + k) % ops.len()];
-            let Some(m) =
-                plant_testgen_named(&current, op, indices[k], gen_cfg.buf_len, MULTI_FAULT_VARS[k])
-            else {
+            let Some(m) = plant_testgen_named(
+                &current,
+                op,
+                indices[k],
+                gen_cfg.buf_len,
+                MULTI_FAULT_VARS[k],
+            ) else {
                 ok = false;
                 break;
             };

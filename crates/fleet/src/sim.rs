@@ -21,11 +21,10 @@ use cbi::streaming::StreamingConfig;
 use cbi_instrument::{
     apply_sampling, instrument, single_function_variants, Scheme, SiteTable, TransformOptions,
 };
-use cbi_minic::slots::SlotProgram;
 use cbi_minic::Program;
 use cbi_reports::wire::encode_reports;
 use cbi_reports::{DecodeOutcome, Label, Provenance, Report, ReportLayout, ReportSink};
-use cbi_sampler::{CountdownBank, Pcg32, Zipf};
+use cbi_sampler::{LazyBank, Pcg32, Zipf};
 use cbi_telemetry as telemetry;
 use cbi_vm::{bytecode::BcProgram, Engine, RunOutcome, Vm};
 
@@ -502,10 +501,6 @@ enum FleetExe {
         full: Program,
         variants: Vec<Program>,
     },
-    Slots {
-        full: SlotProgram,
-        variants: Vec<SlotProgram>,
-    },
     Bytecode {
         full: BcProgram,
         variants: Vec<BcProgram>,
@@ -516,10 +511,6 @@ impl FleetExe {
     fn build(engine: Engine, full: Program, variants: Vec<Program>) -> FleetExe {
         match engine {
             Engine::NameMap => FleetExe::Ast { full, variants },
-            Engine::Slots => FleetExe::Slots {
-                full: cbi_minic::lower(&full),
-                variants: variants.iter().map(cbi_minic::lower).collect(),
-            },
             Engine::Bytecode => FleetExe::Bytecode {
                 full: cbi_vm::bytecode::compile(&cbi_minic::lower(&full)),
                 variants: variants
@@ -533,7 +524,6 @@ impl FleetExe {
     fn n_variants(&self) -> usize {
         match self {
             FleetExe::Ast { variants, .. } => variants.len(),
-            FleetExe::Slots { variants, .. } => variants.len(),
             FleetExe::Bytecode { variants, .. } => variants.len(),
         }
     }
@@ -545,9 +535,6 @@ impl FleetExe {
                 let mut vm = Vm::new(variant.map_or(full, |v| &variants[v]));
                 vm.with_engine(Engine::NameMap);
                 vm
-            }
-            FleetExe::Slots { full, variants } => {
-                Vm::from_slots(variant.map_or(full, |v| &variants[v]))
             }
             FleetExe::Bytecode { full, variants } => {
                 Vm::from_bytecode(variant.map_or(full, |v| &variants[v]))
@@ -582,7 +569,7 @@ fn produce_batch(ctx: &WorkerCtx<'_>, plan: &BatchPlan) -> Result<ProducedBatch,
     let profile = &ctx.profiles[plan.client];
     let mut reports = Vec::with_capacity(plan.runs.len());
     let mut dropped = 0usize;
-    let mut bank = CountdownBank::generate(
+    let mut bank = LazyBank::new(
         profile.density,
         spec.bank_size,
         spec.seed.wrapping_add(plan.runs[0] as u64),
@@ -810,7 +797,7 @@ mod tests {
             s.jobs = jobs;
             run_fleet(&program, &pool(48), &s, None).unwrap().summary
         };
-        let reference = with(Engine::Slots, 1);
+        let reference = with(Engine::NameMap, 1);
         for engine in [Engine::Bytecode, Engine::NameMap] {
             for jobs in [1usize, 2, 4] {
                 assert_eq!(

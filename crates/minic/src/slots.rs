@@ -5,8 +5,9 @@
 //! and write.  This pass performs the name resolution once, statically:
 //! every local (parameter or declaration) of a function is assigned a
 //! dense *slot* index, every global a dense global index, and every
-//! callee is resolved to a builtin or a function index.  The VM can then
-//! execute with `Vec`-indexed frames.
+//! callee is resolved to a builtin or a function index.  The bytecode
+//! compiler (`cbi-bytecode`) works from this form, so the VM's dispatch
+//! loop executes with `Vec`-indexed frames.
 //!
 //! The pass reuses the scope discipline of [`crate::resolve`]: frames are
 //! function-flat (the resolver forbids shadowing, and a declaration is
@@ -197,10 +198,9 @@ pub struct SlotGlobal {
     pub init: i64,
 }
 
-/// A whole program lowered to slot form: the unit the slot-resolved VM
-/// engine executes.  Produce one with [`lower`] and share it freely —
-/// lowering once per campaign amortizes the pass over thousands of
-/// trials.
+/// A whole program lowered to slot form: the input of the bytecode
+/// compiler.  Produce one with [`lower`]; compiling it once per campaign
+/// amortizes both passes over thousands of trials.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotProgram {
     /// Globals, in declaration order (their indices are [`SlotRef`]

@@ -264,10 +264,26 @@ pub(crate) fn read_u8<R: Read>(r: &mut R, what: &'static str) -> Result<u8, Wire
     }
 }
 
+/// Payload bytes read per step beyond which a frame buffer grows only
+/// as bytes arrive, so a forged frame length reserves at most this much
+/// beyond the payload actually received.
+const FRAME_CHUNK: usize = 64 * 1024;
+
 /// Maximum payload bytes a report with `counters` counters can occupy:
 /// run_id (≤10) + label (1) + 10 per counter.
 fn max_payload(counters: usize) -> usize {
-    11 + 10 * counters
+    counters.saturating_mul(10).saturating_add(11)
+}
+
+/// Fills `buf` with frame payload; end of stream is truncation.
+fn read_payload<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
+    r.read_exact(buf).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            WireError::Truncated("frame payload")
+        } else {
+            WireError::Io(e)
+        }
+    })
 }
 
 /// Streaming encoder: writes the stream header up front, then one frame
@@ -511,14 +527,14 @@ impl<R: Read> WireReader<R> {
         if len > max {
             return Err(WireError::FrameTooLarge { declared: len, max });
         }
-        self.buf.resize(len, 0);
-        self.r.read_exact(&mut self.buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                WireError::Truncated("frame payload")
-            } else {
-                WireError::Io(e)
-            }
-        })?;
+        // Every real frame fits one chunk and is read in one call; only a
+        // longer declared length takes the growing path.
+        if len <= FRAME_CHUNK {
+            self.buf.resize(len, 0);
+            read_payload(&mut self.r, &mut self.buf)?;
+        } else {
+            self.read_long_payload(len)?;
+        }
 
         let mut pos = 0;
         let run_id = take_varint(&self.buf, &mut pos)?;
@@ -529,7 +545,9 @@ impl<R: Read> WireReader<R> {
             None => return Err(WireError::Truncated("label byte")),
         };
         pos += 1;
-        let mut counters = Vec::with_capacity(self.header.counters);
+        // Each counter takes at least one payload byte, so the frame
+        // length bounds the width a header may claim.
+        let mut counters = Vec::with_capacity(self.header.counters.min(len));
         for _ in 0..self.header.counters {
             counters.push(take_varint(&self.buf, &mut pos)?);
         }
@@ -544,6 +562,20 @@ impl<R: Read> WireReader<R> {
         cbi_telemetry::count("wire.frames_in", 1);
         cbi_telemetry::count("wire.bytes_in", len_bytes + len as u64);
         Ok(Some(Report::new(run_id, label, counters)))
+    }
+
+    /// Reads a payload longer than [`FRAME_CHUNK`] into the buffer,
+    /// growing it only as bytes arrive: a forged length must not reserve
+    /// memory the stream never delivers.
+    #[cold]
+    fn read_long_payload(&mut self, len: usize) -> Result<(), WireError> {
+        self.buf.clear();
+        while self.buf.len() < len {
+            let start = self.buf.len();
+            self.buf.resize(len.min(start + FRAME_CHUNK), 0);
+            read_payload(&mut self.r, &mut self.buf[start..])?;
+        }
+        Ok(())
     }
 
     /// Reports decoded so far.
@@ -583,11 +615,15 @@ pub fn encode_reports(
 pub fn read_collector<R: Read>(r: R) -> Result<(Collector, StreamHeader), WireError> {
     let mut reader = WireReader::new(r)?;
     let header = reader.header();
+    // Size the collector only once a frame has decoded at the header's
+    // width, so a forged width in a corrupt stream fails as a typed error.
+    let mut next = reader.read_report()?;
     let mut collector = Collector::new(header.counters);
-    while let Some(report) = reader.read_report()? {
+    while let Some(report) = next {
         collector
             .add(report)
             .expect("frames validated against the stream layout");
+        next = reader.read_report()?;
     }
     Ok((collector, header))
 }

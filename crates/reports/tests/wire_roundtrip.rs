@@ -6,7 +6,7 @@
 //! reproducible from its seed.
 
 use cbi_reports::wire::{self, WireError, WireReader, WireWriter};
-use cbi_reports::{Collector, Label, Report};
+use cbi_reports::{decode_batch, Collector, Label, Report};
 use cbi_sampler::Pcg32;
 
 /// A random report stream with a mix of small, large, and zero counters
@@ -47,6 +47,12 @@ fn randomized_streams_round_trip_exactly() {
         assert_eq!(header.counters, counters, "seed {seed}");
         assert_eq!(collector.reports(), &reports[..], "seed {seed}");
     }
+    // Frames wider than the decoder's 64 KiB read step arrive in pieces.
+    let reports = random_reports(99, 3, 40_000);
+    let bytes = wire::encode_reports(&reports, 7, 40_000).unwrap();
+    assert!(bytes.len() > 3 * 65_536, "frames must exceed one read step");
+    let (collector, _) = wire::read_collector(bytes.as_slice()).unwrap();
+    assert_eq!(collector.reports(), &reports[..]);
 }
 
 #[test]
@@ -144,6 +150,56 @@ fn bad_version_and_layout_are_typed_errors() {
     let err = reader.expect_layout(0xa1, counters + 1).unwrap_err();
     assert!(matches!(err, WireError::CounterCountMismatch { .. }));
     reader.expect_layout(0xa1, counters).unwrap();
+}
+
+/// LEB128, as the wire format encodes every length and count.
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A 19-byte stream header whose counter count claims 2^40 counters.
+fn header_claiming_2_pow_40_counters() -> Vec<u8> {
+    let mut bytes = wire::MAGIC.to_vec();
+    bytes.push(wire::VERSION);
+    bytes.extend_from_slice(&0xa1u64.to_le_bytes());
+    push_varint(&mut bytes, 1 << 40);
+    assert_eq!(bytes.len(), 19);
+    bytes
+}
+
+#[test]
+fn forged_header_width_and_frame_length_are_typed_errors() {
+    // (a) The header claims 2^40 counters; the one frame that follows
+    // carries 2 payload bytes (run id, label) and no counters at all.
+    let mut wide = header_claiming_2_pow_40_counters();
+    wide.extend_from_slice(&[2, 7, 0]);
+    assert_eq!(wide.len(), 22);
+    // (b) A frame-length varint declares 2^43 payload bytes (within the
+    // forged width's frame limit) and the stream ends right after it.
+    let mut long = header_claiming_2_pow_40_counters();
+    push_varint(&mut long, 1 << 43);
+    assert_eq!(long.len(), 26);
+
+    // Neither may size an allocation from the claim: both must fail as
+    // typed errors from the bytes actually present.
+    for (case, bytes) in [("wide header", &wide), ("long frame", &long)] {
+        let rejected = decode_batch(bytes, None).unwrap_err();
+        assert!(
+            matches!(rejected.error, WireError::Truncated(_)),
+            "{case}: decode_batch gave {}",
+            rejected.error
+        );
+        assert_eq!(rejected.decoded, 0, "{case}");
+        let err = wire::read_collector(bytes.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, WireError::Truncated(_)),
+            "{case}: read_collector gave {err}"
+        );
+    }
 }
 
 #[test]

@@ -41,6 +41,12 @@ impl<T: CountdownSource + ?Sized> CountdownSource for &mut T {
 /// for `1/d` sampling encodes on average `n·d` coin tosses, so modest banks
 /// last a long time (§2.1).
 ///
+/// Every run path draws from [`LazyBank`], which yields the same sequence
+/// on demand.  This eager bank is kept as the reference that the sampler
+/// and VM tests compare against (the benches' seed-baseline paths
+/// reproduce it too), and for explicit countdown values
+/// ([`CountdownBank::from_values`]).
+///
 /// ```
 /// use cbi_sampler::{CountdownBank, CountdownSource, SamplingDensity};
 /// let mut bank = CountdownBank::generate(SamplingDensity::one_in(10), 1024, 7);

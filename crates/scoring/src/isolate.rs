@@ -262,9 +262,7 @@ impl IsolationRun {
 
     /// 0-based iteration at which `counter` was chosen, if ever.
     pub fn isolated_at(&self, counter: usize) -> Option<usize> {
-        self.steps
-            .iter()
-            .position(|s| s.cluster.counter == counter)
+        self.steps.iter().position(|s| s.cluster.counter == counter)
     }
 }
 
@@ -276,7 +274,11 @@ impl IsolationRun {
 /// active runs it covers, and removes them.  The loop ends when no
 /// failures remain or no predicate qualifies; leftover failures are
 /// reported as `unexplained` rather than force-fitted to a cluster.
-pub fn isolate(index: &FailureIndex, groups: &[(usize, usize)], scorer: &dyn Scorer) -> IsolationRun {
+pub fn isolate(
+    index: &FailureIndex,
+    groups: &[(usize, usize)],
+    scorer: &dyn Scorer,
+) -> IsolationRun {
     let mut active: Vec<bool> = vec![true; index.failures().len()];
     let initial_ranking = rank_tables(scorer, &index.tables(groups));
     let mut steps = Vec::new();
@@ -400,7 +402,10 @@ mod tests {
         assert_eq!(run.steps[0].cluster.counter, 0);
         assert_eq!(run.steps[0].cluster.trials, vec![0, 1]);
         assert_eq!(run.steps[0].cluster.score, 707);
-        assert_eq!((run.steps[0].failures_before, run.steps[0].failures_after), (4, 2));
+        assert_eq!(
+            (run.steps[0].failures_before, run.steps[0].failures_after),
+            (4, 2)
+        );
         assert_eq!(run.steps[1].cluster.counter, 2);
         assert_eq!(run.steps[1].cluster.trials, vec![2, 3]);
         assert_eq!(run.isolated_at(2), Some(1));

@@ -6,7 +6,8 @@
 //!   pretty-printed/re-parsed form;
 //! * instrumented and sampling-transformed builds must produce the same
 //!   output as the baseline;
-//! * name-map and slot-resolved interpretation must agree exactly.
+//! * the name-map reference walker and the bytecode engine must agree
+//!   exactly.
 //!
 //! Generation is driven by the repository's own [`Pcg32`] PRNG, so every
 //! test case is reproducible from a seed with no external dependencies.

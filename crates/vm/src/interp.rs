@@ -12,26 +12,22 @@
 //!   `__gcd` global is seeded at startup;
 //! * op-cost accounting per [`CostModel`] for the overhead experiments.
 //!
-//! Three engines share this front end: the bytecode dispatch loop
-//! ([`crate::bytecode_interp`]) executing compiled [`BcProgram`]s, the
-//! slot-resolved tree walker ([`crate::slot_interp`], the default)
-//! executing pre-lowered [`SlotProgram`]s with `Vec`-indexed frames, and
-//! the original name-map tree walker in this module, kept as the
-//! reference implementation for differential testing and benchmarking.
-//! All three share the engine-independent run state and value semantics
-//! in [`crate::runtime`].
+//! Two engines share this front end: the bytecode dispatch loop
+//! ([`crate::bytecode_interp`], the default) executing compiled
+//! [`BcProgram`]s, and the name-map tree walker in this module, kept as
+//! the reference implementation for differential testing and
+//! benchmarking.  Both share the engine-independent run state and value
+//! semantics in [`crate::runtime`].
 
 use crate::cost::CostModel;
 use crate::heap::DEFAULT_SLACK;
 use crate::outcome::{CrashKind, RunOutcome};
 use crate::runtime::{saturating_i64, Flow, RunCore, Trap};
-use crate::slot_interp::SlotExec;
 use crate::value::Value;
 use cbi_bytecode::BcProgram;
 use cbi_instrument::SiteTable;
 use cbi_minic::ast::*;
 use cbi_minic::builtins::GLOBAL_COUNTDOWN;
-use cbi_minic::slots::{self, SlotProgram};
 use cbi_minic::Builtin;
 use cbi_sampler::CountdownSource;
 use std::borrow::Cow;
@@ -96,17 +92,13 @@ pub struct RunResult {
 /// Which interpreter engine a [`Vm`] executes with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Slot-resolved tree walking (the default): names are lowered to
-    /// dense indices once, frames are `Vec`-backed — no string hashing on
-    /// the execution path.
-    #[default]
-    Slots,
-    /// The original name-map tree walker (`HashMap` frames).  Kept as the
+    /// The name-map tree walker (`HashMap` frames).  Kept as the
     /// reference engine for differential tests and overhead baselines.
     NameMap,
-    /// The bytecode dispatch loop: the slot-resolved program is compiled
-    /// to flat instructions with resolved jumps and fused countdown ops,
-    /// then executed by a `loop { match op }` engine — the fastest path.
+    /// The bytecode dispatch loop (the default): the slot-resolved
+    /// program is compiled to flat instructions with resolved jumps and
+    /// fused countdown ops, then executed by a `loop { match op }` engine.
+    #[default]
     Bytecode,
 }
 
@@ -114,7 +106,6 @@ impl Engine {
     /// Parses an engine name as accepted by the CLI `--engine` flag.
     pub fn parse(name: &str) -> Option<Engine> {
         match name {
-            "slot" | "slots" => Some(Engine::Slots),
             "namemap" | "name-map" => Some(Engine::NameMap),
             "bytecode" | "bc" => Some(Engine::Bytecode),
             _ => None,
@@ -124,7 +115,6 @@ impl Engine {
     /// The canonical CLI name of this engine.
     pub fn name(self) -> &'static str {
         match self {
-            Engine::Slots => "slot",
             Engine::NameMap => "namemap",
             Engine::Bytecode => "bytecode",
         }
@@ -135,7 +125,6 @@ impl Engine {
 #[derive(Clone, Copy)]
 enum ProgramSrc<'a> {
     Ast(&'a Program),
-    Slots(&'a SlotProgram),
     Bytecode(&'a BcProgram),
 }
 
@@ -212,7 +201,6 @@ impl fmt::Debug for Vm<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let functions = match self.program {
             ProgramSrc::Ast(p) => p.functions.len(),
-            ProgramSrc::Slots(p) => p.functions.len(),
             ProgramSrc::Bytecode(p) => p.functions.len(),
         };
         f.debug_struct("Vm")
@@ -230,14 +218,6 @@ impl<'a> Vm<'a> {
     /// Creates a VM for a program with default settings.
     pub fn new(program: &'a Program) -> Self {
         Vm::with_src(ProgramSrc::Ast(program))
-    }
-
-    /// Creates a VM for a pre-lowered program (see [`cbi_minic::lower`]).
-    ///
-    /// Lowering once and constructing per-run VMs from the shared
-    /// [`SlotProgram`] amortizes name resolution across a whole campaign.
-    pub fn from_slots(program: &'a SlotProgram) -> Self {
-        Vm::with_src(ProgramSrc::Slots(program))
     }
 
     /// Creates a VM for a compiled bytecode program (see
@@ -292,7 +272,7 @@ impl<'a> Vm<'a> {
         self
     }
 
-    /// Selects the interpreter engine (default [`Engine::Slots`]).
+    /// Selects the interpreter engine (default [`Engine::Bytecode`]).
     pub fn with_engine(&mut self, engine: Engine) -> &mut Self {
         self.engine = engine;
         self
@@ -360,33 +340,19 @@ impl<'a> Vm<'a> {
             (Engine::NameMap, ProgramSrc::Ast(program)) => {
                 self.run_namemap(program, counter_layout, total_counters)
             }
-            (Engine::NameMap, _) => Err(VmError::new(
+            (Engine::NameMap, ProgramSrc::Bytecode(_)) => Err(VmError::new(
                 "name-map engine requires an AST program (construct with Vm::new)",
-            )),
-            (Engine::Slots, ProgramSrc::Slots(program)) => {
-                self.run_slots(program, counter_layout, total_counters)
-            }
-            (Engine::Slots, ProgramSrc::Ast(program)) => {
-                // One-shot convenience path: lower, then run.  Hot loops
-                // lower once and use `Vm::from_slots` instead.
-                let lowered = slots::lower(program);
-                self.run_slots(&lowered, counter_layout, total_counters)
-            }
-            (Engine::Slots, ProgramSrc::Bytecode(_)) => Err(VmError::new(
-                "slot engine requires an AST or slot program (construct with Vm::new or Vm::from_slots)",
             )),
             (Engine::Bytecode, ProgramSrc::Bytecode(program)) => {
                 self.run_bytecode(program, counter_layout, total_counters)
             }
-            (Engine::Bytecode, ProgramSrc::Slots(program)) => {
-                // One-shot convenience path: compile, then run.  Hot loops
-                // compile once and use `Vm::from_bytecode` instead.
-                let compiled = cbi_bytecode::compile(program);
-                self.run_bytecode(&compiled, counter_layout, total_counters)
-            }
             (Engine::Bytecode, ProgramSrc::Ast(program)) => {
-                let lowered = slots::lower(program);
-                let compiled = cbi_bytecode::compile(&lowered);
+                // One-shot convenience path: lower and compile, then run.
+                // Hot loops compile once and use `Vm::from_bytecode`.
+                let compiled = cbi_bytecode::compile_with(
+                    &cbi_minic::lower(program),
+                    crate::bytecode_interp::mirror(self.costs),
+                );
                 self.run_bytecode(&compiled, counter_layout, total_counters)
             }
         }
@@ -404,54 +370,6 @@ impl<'a> Vm<'a> {
             self.max_depth,
             self.trace_limit,
         )
-    }
-
-    fn run_slots(
-        &mut self,
-        program: &SlotProgram,
-        counter_layout: Vec<(usize, usize)>,
-        total_counters: usize,
-    ) -> Result<RunResult, VmError> {
-        let main = program
-            .main
-            .map(|i| &program.functions[i as usize])
-            .ok_or_else(|| VmError::new("program has no `main` function"))?;
-        if main.n_params != 0 {
-            return Err(VmError::new("`main` must take no parameters"));
-        }
-
-        let globals: Vec<Value> = program
-            .globals
-            .iter()
-            .map(|g| match g.ty {
-                Type::Int => Value::Int(g.init),
-                Type::Ptr => Value::Null,
-            })
-            .collect();
-
-        let mut exec = SlotExec {
-            prog: program,
-            core: self.core(counter_layout, total_counters),
-            globals,
-            stack: Vec::with_capacity(64),
-        };
-
-        // Seed the global countdown before the first instruction (§2.1):
-        // the instrumented program starts with a fresh next-sample distance.
-        if let Some(g) = program.gcd_global {
-            let seed = match exec.core.sampling.as_deref_mut() {
-                Some(src) => saturating_i64(src.next_countdown()),
-                None => {
-                    return Err(VmError::new(
-                        "sampled program requires a countdown source (with_sampling)",
-                    ))
-                }
-            };
-            exec.globals[g as usize] = Value::Int(seed);
-        }
-
-        let outcome = RunCore::outcome_of(exec.call_function(main, &[]));
-        Ok(exec.core.finish(outcome))
     }
 
     fn run_bytecode(
@@ -543,7 +461,8 @@ impl Exec<'_> {
         self.core.depth += 1;
         self.core.charge(self.core.costs.call)?;
         let mut frame: Frame = HashMap::with_capacity(f.params.len() + 8);
-        debug_assert_eq!(args.len(), f.params.len());
+        // Arity mismatches only occur in unchecked programs; the zip binds
+        // the shorter of the two lists (the bytecode engine matches).
         for (p, v) in f.params.iter().zip(args) {
             frame.insert(p.name.clone(), v);
         }
@@ -1046,5 +965,26 @@ mod tests {
         let a = run(src);
         let b = run(src);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn custom_costs_apply_on_the_default_engine() {
+        // `Vm::new` compiles per run, so the compiled charges must follow
+        // the VM's cost model rather than the default one.
+        let p =
+            parse("fn f() -> int { return 1; } fn main() -> int { return f() + f(); }").unwrap();
+        let costs = CostModel {
+            stmt: 3,
+            call: 20,
+            ..CostModel::default()
+        };
+        let reference = Vm::new(&p)
+            .with_engine(Engine::NameMap)
+            .with_costs(costs)
+            .run()
+            .unwrap();
+        let compiled = Vm::new(&p).with_costs(costs).run().unwrap();
+        assert_eq!(reference, compiled);
+        assert_ne!(compiled.ops, Vm::new(&p).run().unwrap().ops);
     }
 }

@@ -40,7 +40,6 @@ pub mod heap;
 pub mod interp;
 pub mod outcome;
 mod runtime;
-mod slot_interp;
 pub mod value;
 
 pub use cbi_bytecode as bytecode;

@@ -1,18 +1,17 @@
 //! Engine-shared runtime state and value-level semantics.
 //!
-//! All three interpreter engines — the name-map reference walker
-//! ([`crate::interp`]), the slot-resolved walker ([`crate::slot_interp`]),
-//! and the bytecode dispatch loop ([`crate::bytecode_interp`]) — execute
-//! against one [`RunCore`]: the corruptible heap, scripted input, output
-//! log, counter vector, op-cost accounting, bounded observation trace,
-//! and the countdown source.  Every observable effect (a charge, a trap
+//! Both interpreter engines — the name-map reference walker
+//! ([`crate::interp`]) and the bytecode dispatch loop
+//! ([`crate::bytecode_interp`]) — execute against one [`RunCore`]: the
+//! corruptible heap, scripted input, output log, counter vector, op-cost
+//! accounting, bounded observation trace, and the countdown source.  Every observable effect (a charge, a trap
 //! message, a counter bump, a trace entry) funnels through the methods
 //! here, so the byte-identical contract between engines is enforced by
 //! construction: an engine only chooses *when* to call these methods,
 //! never *what* they do.
 //!
 //! The split of one builtin between engine and core follows its charge
-//! order in the original walkers: argument evaluation stays with the
+//! order in the original tree walker: argument evaluation stays with the
 //! engine, everything from the first post-argument effect onward lives
 //! here.  `__cmp`/`__obs_sign` charge *before* their arguments, so their
 //! observe charge is also the engine's job (see the `obs_cmp`/`obs_sign`

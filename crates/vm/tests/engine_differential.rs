@@ -1,5 +1,5 @@
-//! Differential equivalence of the slot-resolved hot-path engine against
-//! the name-map reference engine.
+//! Differential equivalence of the bytecode hot-path engine against the
+//! name-map reference engine.
 //!
 //! For every random program from `cbi-testgen` — plain, unconditionally
 //! instrumented, and sampling-transformed — both engines must produce the
@@ -8,10 +8,15 @@
 //! it fails if the two engines disagree about a single charge anywhere.
 
 use cbi_instrument::{apply_sampling, instrument, Scheme, TransformOptions};
-use cbi_minic::lower;
+use cbi_minic::{lower, Program};
 use cbi_sampler::{CountdownBank, SamplingDensity};
 use cbi_testgen::program_for_seed;
+use cbi_vm::bytecode::{compile, BcProgram};
 use cbi_vm::{Engine, RunOutcome, Vm};
+
+fn build(p: &Program) -> BcProgram {
+    compile(&lower(p))
+}
 
 const SEEDS: u64 = 150;
 
@@ -24,8 +29,8 @@ fn engines_agree_on_plain_programs() {
             .with_trace(16)
             .run()
             .unwrap();
-        let slots = lower(&p);
-        let fast = Vm::from_slots(&slots).with_trace(16).run().unwrap();
+        let bc = build(&p);
+        let fast = Vm::from_bytecode(&bc).with_trace(16).run().unwrap();
         assert_eq!(reference, fast, "seed {seed}");
         assert_eq!(reference.outcome, RunOutcome::Success(0), "seed {seed}");
     }
@@ -49,8 +54,8 @@ fn engines_agree_on_instrumented_programs() {
             .with_trace(16)
             .run()
             .unwrap();
-        let slots = lower(&inst.program);
-        let fast = Vm::from_slots(&slots)
+        let bc = build(&inst.program);
+        let fast = Vm::from_bytecode(&bc)
             .with_sites(&inst.sites)
             .with_trace(16)
             .run()
@@ -75,12 +80,12 @@ fn engines_agree_on_sampled_programs() {
             .run()
             .unwrap();
 
-        // The slot engine additionally exercises the borrowed-source and
-        // borrowed-input paths of the builder.
-        let slots = lower(&sampled);
+        // The bytecode engine additionally exercises the borrowed-source
+        // and borrowed-input paths of the builder.
+        let bc = build(&sampled);
         let mut shared_bank = bank;
         let input: Vec<i64> = Vec::new();
-        let fast = Vm::from_slots(&slots)
+        let fast = Vm::from_bytecode(&bc)
             .with_sites(&inst.sites)
             .with_sampling_ref(&mut shared_bank)
             .with_input(&input[..])
@@ -90,8 +95,8 @@ fn engines_agree_on_sampled_programs() {
     }
 }
 
-/// The slot engine preserves the *dynamic* name-lookup semantics of the
-/// reference engine on programs the static resolver would reject.
+/// The bytecode engine preserves the *dynamic* name-lookup semantics of
+/// the reference engine on programs the static resolver would reject.
 #[test]
 fn engines_agree_on_unchecked_name_lookup_edge_cases() {
     let cases = [
@@ -115,19 +120,19 @@ fn engines_agree_on_unchecked_name_lookup_edge_cases() {
     for (i, src) in cases.iter().enumerate() {
         let p = cbi_minic::parse(src).unwrap();
         let reference = Vm::new(&p).with_engine(Engine::NameMap).run().unwrap();
-        let slots = lower(&p);
-        let fast = Vm::from_slots(&slots).run().unwrap();
+        let bc = build(&p);
+        let fast = Vm::from_bytecode(&bc).run().unwrap();
         assert_eq!(reference, fast, "case {i}: {src}");
     }
 }
 
-/// `Engine::NameMap` cannot run a slot-only VM: that is a configuration
-/// error, not a panic.
+/// `Engine::NameMap` cannot run a bytecode-only VM: that is a
+/// configuration error, not a panic.
 #[test]
-fn namemap_engine_rejects_slot_programs() {
+fn namemap_engine_rejects_bytecode_programs() {
     let p = cbi_minic::parse("fn main() -> int { return 0; }").unwrap();
-    let slots = lower(&p);
-    let err = Vm::from_slots(&slots)
+    let bc = build(&p);
+    let err = Vm::from_bytecode(&bc)
         .with_engine(Engine::NameMap)
         .run()
         .unwrap_err();

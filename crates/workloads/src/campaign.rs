@@ -21,7 +21,6 @@ use crate::WorkloadError;
 use cbi_instrument::{
     apply_sampling, instrument, Instrumented, Scheme, SiteTable, TransformOptions,
 };
-use cbi_minic::slots::SlotProgram;
 use cbi_minic::Program;
 use cbi_reports::{Collector, Label, Report, ReportLayout, ReportSink};
 use cbi_sampler::{LazyBank, SamplingDensity};
@@ -51,7 +50,7 @@ pub struct CampaignConfig {
     pub jobs: usize,
     /// Interpreter engine for every trial.  The default is
     /// [`Engine::Bytecode`] — the program is compiled once and every run
-    /// executes straight-line instructions; all engines produce
+    /// executes straight-line instructions; both engines produce
     /// bit-identical reports, so this is purely a throughput knob.
     pub engine: Engine,
 }
@@ -200,16 +199,16 @@ pub fn run_campaign_into<S: ReportSink>(
         ),
         None => Cow::Borrowed(&instrumented.program),
     };
-    // Lower once; every trial indexes the shared slot program.  Under the
-    // bytecode engine, compile once more to flat instructions — the
-    // campaign then never touches the AST on the execution path.
-    let slots = telemetry::time("campaign.lower", || cbi_minic::lower(&executable));
-    let bytecode = (config.engine == Engine::Bytecode)
-        .then(|| telemetry::time("campaign.compile", || cbi_vm::bytecode::compile(&slots)));
-    let exe = match config.engine {
-        Engine::NameMap => Exe::Ast(&executable),
-        Engine::Slots => Exe::Slots(&slots),
-        Engine::Bytecode => Exe::Bytecode(bytecode.as_ref().expect("compiled above")),
+    // Under the bytecode engine, lower and compile once to flat
+    // instructions — the campaign then never touches the AST on the
+    // execution path.  The name-map reference runs the AST directly.
+    let bytecode = (config.engine == Engine::Bytecode).then(|| {
+        let slots = telemetry::time("campaign.lower", || cbi_minic::lower(&executable));
+        telemetry::time("campaign.compile", || cbi_vm::bytecode::compile(&slots))
+    });
+    let exe = match &bytecode {
+        Some(bc) => Exe::Bytecode(bc),
+        None => Exe::Ast(&executable),
     };
 
     sink.begin(ReportLayout {
@@ -294,7 +293,6 @@ pub fn run_campaign_into<S: ReportSink>(
 #[derive(Clone, Copy)]
 enum Exe<'a> {
     Ast(&'a Program),
-    Slots(&'a SlotProgram),
     Bytecode(&'a BcProgram),
 }
 
@@ -306,7 +304,6 @@ impl<'a> Exe<'a> {
                 vm.with_engine(Engine::NameMap);
                 vm
             }
-            Exe::Slots(p) => Vm::from_slots(p),
             Exe::Bytecode(p) => Vm::from_bytecode(p),
         }
     }

@@ -11,9 +11,9 @@ use crate::WorkloadError;
 use cbi_instrument::{
     apply_sampling, instrument, strip_sites, Instrumented, Scheme, SiteTable, TransformOptions,
 };
-use cbi_minic::slots::SlotProgram;
 use cbi_minic::Program;
-use cbi_sampler::{CountdownBank, SamplingDensity};
+use cbi_sampler::{LazyBank, SamplingDensity};
+use cbi_vm::bytecode::{self, BcProgram};
 use cbi_vm::Vm;
 
 /// Overhead ratios for one benchmark.
@@ -106,14 +106,14 @@ pub fn measure_overhead_instrumented(
     densities: &[SamplingDensity],
     config: &OverheadConfig,
 ) -> Result<OverheadMeasurement, WorkloadError> {
-    let baseline = strip_sites(&inst.program);
-    let baseline_slots = cbi_minic::lower(&baseline);
-    let baseline_ops = run_ops(&baseline_slots, &inst.sites, input, name, None, config)?;
-    let inst_slots = cbi_minic::lower(&inst.program);
-    let unconditional_ops = run_ops(&inst_slots, &inst.sites, input, name, None, config)?;
+    let compile = |p: &Program| bytecode::compile(&cbi_minic::lower(p));
+    let baseline = compile(&strip_sites(&inst.program));
+    let baseline_ops = run_ops(&baseline, &inst.sites, input, name, None, config)?;
+    let unconditional = compile(&inst.program);
+    let unconditional_ops = run_ops(&unconditional, &inst.sites, input, name, None, config)?;
 
     let (sampled_program, _) = apply_sampling(&inst.program, &config.transform)?;
-    let sampled_slots = cbi_minic::lower(&sampled_program);
+    let sampled = compile(&sampled_program);
 
     // One grid cell per (density, run); each cell's bank comes from its
     // own seed, so cells are independent and shardable.
@@ -131,18 +131,18 @@ pub fn measure_overhead_instrumented(
     let jobs = config.jobs.clamp(1, cells.len().max(1));
     let mut totals = vec![0u64; densities.len()];
     if jobs <= 1 {
-        for &(di, ops) in &run_cells(&sampled_slots, &inst.sites, input, name, &cells, config)? {
+        for &(di, ops) in &run_cells(&sampled, &inst.sites, input, name, &cells, config)? {
             totals[di] += ops;
         }
     } else {
         let chunk = cells.len().div_ceil(jobs);
-        let slots = &sampled_slots;
+        let sampled = &sampled;
         let sites = &inst.sites;
         let results = std::thread::scope(|scope| {
             let handles: Vec<_> = cells
                 .chunks(chunk)
                 .map(|shard| {
-                    scope.spawn(move || run_cells(slots, sites, input, name, shard, config))
+                    scope.spawn(move || run_cells(sampled, sites, input, name, shard, config))
                 })
                 .collect();
             handles
@@ -175,10 +175,10 @@ pub fn measure_overhead_instrumented(
 }
 
 /// Runs one shard of the sampled grid, reusing a single countdown bank
-/// across cells via [`CountdownBank::reseed`] (bit-identical to a fresh
-/// bank per cell).  Returns `(density index, ops)` per cell.
+/// across cells via [`LazyBank::reseed`] (bit-identical to a fresh bank
+/// per cell).  Returns `(density index, ops)` per cell.
 fn run_cells(
-    slots: &SlotProgram,
+    program: &BcProgram,
     sites: &SiteTable,
     input: &[i64],
     name: &str,
@@ -186,34 +186,30 @@ fn run_cells(
     config: &OverheadConfig,
 ) -> Result<Vec<(usize, u64)>, WorkloadError> {
     let mut out = Vec::with_capacity(cells.len());
-    let mut bank: Option<CountdownBank> = None;
+    let mut bank: Option<LazyBank> = None;
     for &(di, density, bank_seed) in cells {
         if let Some(bank) = bank.as_mut() {
             bank.reseed(density, bank_seed);
         } else {
-            bank = Some(CountdownBank::generate(
-                density,
-                config.bank_size,
-                bank_seed,
-            ));
+            bank = Some(LazyBank::new(density, config.bank_size, bank_seed));
         }
-        let ops = run_ops(slots, sites, input, name, bank.as_mut(), config)?;
+        let ops = run_ops(program, sites, input, name, bank.as_mut(), config)?;
         out.push((di, ops));
     }
     Ok(out)
 }
 
-/// Executes one run on the slot engine with a borrowed input script and
-/// an optional borrowed countdown bank; returns the op count.
+/// Executes one run of a compiled program with a borrowed input script
+/// and an optional borrowed countdown bank; returns the op count.
 fn run_ops(
-    slots: &SlotProgram,
+    program: &BcProgram,
     sites: &SiteTable,
     input: &[i64],
     name: &str,
-    bank: Option<&mut CountdownBank>,
+    bank: Option<&mut LazyBank>,
     config: &OverheadConfig,
 ) -> Result<u64, WorkloadError> {
-    let mut vm = Vm::from_slots(slots);
+    let mut vm = Vm::from_bytecode(program);
     vm.with_sites(sites)
         .with_input(input)
         .with_op_limit(config.op_limit);

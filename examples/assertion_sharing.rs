@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example assertion_sharing`
 
 use cbi::prelude::*;
+use cbi::sampler::LazyBank;
 use cbi::stats::runs_needed;
 use cbi::workloads::{benchmark, measure_overhead, OverheadConfig};
 
@@ -31,11 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. The community's power: how many sampled runs catch a violation?
     let inst = instrument(&b.program, Scheme::Checks)?;
     let (sampled, _) = apply_sampling(&inst.program, &TransformOptions::default())?;
+    let compiled = cbi::vm::bytecode::compile(&cbi::minic::lower(&sampled));
     let mut observed = 0u64;
     let users = 300;
     for user in 0..users {
-        let bank = CountdownBank::generate(SamplingDensity::one_in(1000), 1024, user);
-        let run = Vm::new(&sampled)
+        let bank = LazyBank::new(SamplingDensity::one_in(1000), 1024, user);
+        let run = Vm::from_bytecode(&compiled)
             .with_sites(&inst.sites)
             .with_sampling(Box::new(bank))
             .run()?;

@@ -2,7 +2,7 @@
 //! and the dual fast/slow block cloning — empty blocks, dead branches,
 //! deeply nested regions, and the forward jumps the sampling
 //! transformation's cloned blocks compile into.  Each case must (a)
-//! execute identically on the slot walker and the bytecode engine, and
+//! execute identically on the name-map walker and the bytecode engine, and
 //! (b) compile to structurally valid code: every jump target resolved
 //! and inside the owning function's body.
 
@@ -39,13 +39,13 @@ fn check_jump_targets(label: &str, bc: &BcProgram) {
 
 fn compile_and_compare(label: &str, src: &str, input: &[i64]) -> BcProgram {
     let program = parse(src).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let slots = cbi::minic::lower(&program);
-    let bc = cbi_vm::bytecode::compile(&slots);
+    let bc = cbi_vm::bytecode::compile(&cbi::minic::lower(&program));
     check_jump_targets(label, &bc);
-    let s = Vm::from_slots(&slots)
+    let s = Vm::new(&program)
+        .with_engine(Engine::NameMap)
         .with_input(input.to_vec())
         .run()
-        .expect("slot vm config");
+        .expect("namemap vm config");
     let b = Vm::from_bytecode(&bc)
         .with_input(input.to_vec())
         .run()
@@ -123,22 +123,26 @@ fn deeply_nested_regions() {
         let inst = instrument(&program, scheme).expect("instrument");
         let (sampled, _) =
             apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
-        let slots = cbi::minic::lower(&sampled);
-        let bc = cbi_vm::bytecode::compile(&slots);
+        let bc = cbi_vm::bytecode::compile(&cbi::minic::lower(&sampled));
         check_jump_targets(&format!("nested {scheme}"), &bc);
         for density in [1u64, 5, 500] {
             let mk = |use_bc: bool| {
                 let mut vm = if use_bc {
                     Vm::from_bytecode(&bc)
                 } else {
-                    Vm::from_slots(&slots)
+                    Vm::new(&sampled)
                 };
-                vm.with_sites(&inst.sites)
-                    .with_input(vec![30i64])
-                    .with_sampling(Box::new(Geometric::new(
-                        SamplingDensity::one_in(density),
-                        0xfeed,
-                    )));
+                vm.with_engine(if use_bc {
+                    Engine::Bytecode
+                } else {
+                    Engine::NameMap
+                })
+                .with_sites(&inst.sites)
+                .with_input(vec![30i64])
+                .with_sampling(Box::new(Geometric::new(
+                    SamplingDensity::one_in(density),
+                    0xfeed,
+                )));
                 vm.run().expect("vm config")
             };
             let s = mk(false);
@@ -189,10 +193,10 @@ fn forward_jumps_across_cloned_blocks() {
         let inst = instrument(&program, scheme).expect("instrument");
         let (sampled, _) =
             apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
-        let slots = cbi::minic::lower(&sampled);
-        let bc = cbi_vm::bytecode::compile(&slots);
+        let bc = cbi_vm::bytecode::compile(&cbi::minic::lower(&sampled));
         check_jump_targets(&format!("cloned {scheme}"), &bc);
-        let s = Vm::from_slots(&slots)
+        let s = Vm::new(&sampled)
+            .with_engine(Engine::NameMap)
             .with_sites(&inst.sites)
             .with_input(&input[..])
             .with_sampling(Box::new(Geometric::new(SamplingDensity::one_in(2), 1)))

@@ -1,5 +1,5 @@
 //! Seeded differential fuzzing of the bytecode dispatch engine against
-//! the slot-resolved walker: over random generated programs, every
+//! the name-map reference walker: over random generated programs, every
 //! scheme, and a density sweep, the two engines must produce bit-equal
 //! [`cbi_vm::RunResult`]s — outcome, op count, counters, output, trace.
 //!
@@ -18,12 +18,12 @@ fn run_both(
     density: Option<(u64, u64)>,
     input: &[i64],
 ) {
-    let slots = cbi::minic::lower(program);
-    let bytecode = cbi_vm::bytecode::compile(&slots);
+    let bytecode = cbi_vm::bytecode::compile(&cbi::minic::lower(program));
 
-    let mut slot_vm = Vm::from_slots(&slots);
+    let mut reference = Vm::new(program);
+    reference.with_engine(Engine::NameMap);
     let mut bc_vm = Vm::from_bytecode(&bytecode);
-    for vm in [&mut slot_vm, &mut bc_vm] {
+    for vm in [&mut reference, &mut bc_vm] {
         vm.with_input(input.to_vec()).with_trace(16);
         if let Some(t) = sites {
             vm.with_sites(t);
@@ -33,9 +33,12 @@ fn run_both(
         }
     }
 
-    let s = slot_vm.run().expect("slot vm config");
+    let r = reference.run().expect("namemap vm config");
     let b = bc_vm.run().expect("bytecode vm config");
-    assert_eq!(s, b, "{label}: bytecode engine diverged from slot engine");
+    assert_eq!(
+        r, b,
+        "{label}: bytecode engine diverged from namemap engine"
+    );
 }
 
 #[test]
@@ -162,10 +165,10 @@ fn stack_overflow_agrees() {
     // the 256-frame default, while the bytecode engine never recurses.
     let src = "fn f(int n) -> int { return f(n + 1); } fn main() -> int { return f(0); }";
     let program = parse(src).expect("parse");
-    let slots = cbi::minic::lower(&program);
-    let bytecode = cbi_vm::bytecode::compile(&slots);
+    let bytecode = cbi_vm::bytecode::compile(&cbi::minic::lower(&program));
     for depth in [1usize, 2, 64] {
-        let s = Vm::from_slots(&slots)
+        let s = Vm::new(&program)
+            .with_engine(Engine::NameMap)
             .with_max_depth(depth)
             .run()
             .expect("vm config");
@@ -193,10 +196,10 @@ fn op_limit_aborts_agree_on_outcome() {
     // match.
     let src = "fn main() -> int { int i = 0; while (1) { i = i + 1; } return 0; }";
     let program = parse(src).expect("parse");
-    let slots = cbi::minic::lower(&program);
-    let bytecode = cbi_vm::bytecode::compile(&slots);
+    let bytecode = cbi_vm::bytecode::compile(&cbi::minic::lower(&program));
     for limit in [10u64, 1_000, 54_321] {
-        let s = Vm::from_slots(&slots)
+        let s = Vm::new(&program)
+            .with_engine(Engine::NameMap)
             .with_op_limit(limit)
             .run()
             .expect("vm config");

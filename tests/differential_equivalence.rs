@@ -1,7 +1,7 @@
 //! Differential tests over randomly generated MiniC programs: the whole
 //! instrumentation/sampling stack must be semantically transparent,
 //! sampled observation counts must stay within the unconditional
-//! envelope, and the slot-resolved engine must agree with the name-map
+//! envelope, and the bytecode engine must agree with the name-map
 //! reference engine end to end.
 //!
 //! Driven by `cbi-testgen`'s seeded generator, so every failing case is
@@ -182,15 +182,16 @@ fn transformed_source_is_real_minic() {
 }
 
 /// The full sampled pipeline produces identical reports under both
-/// interpreter engines: lowering to slots is invisible to the analyses.
+/// interpreter engines: lowering and compiling to bytecode is invisible
+/// to the analyses.
 #[test]
-fn slot_engine_is_transparent_through_the_pipeline() {
+fn bytecode_engine_is_transparent_through_the_pipeline() {
     for seed in 0..CASES {
         let p = program_for_seed(seed);
         let inst = instrument(&p, Scheme::ScalarPairs).expect("instrument");
         let (sampled, _) =
             apply_sampling(&inst.program, &TransformOptions::default()).expect("transform");
-        let slots = cbi::minic::lower(&sampled);
+        let bc = cbi_vm::bytecode::compile(&cbi::minic::lower(&sampled));
 
         let reference = Vm::new(&sampled)
             .with_sites(&inst.sites)
@@ -198,7 +199,7 @@ fn slot_engine_is_transparent_through_the_pipeline() {
             .with_engine(Engine::NameMap)
             .run()
             .expect("vm config");
-        let fast = Vm::from_slots(&slots)
+        let fast = Vm::from_bytecode(&bc)
             .with_sites(&inst.sites)
             .with_sampling(Box::new(Geometric::new(SamplingDensity::one_in(3), seed)))
             .run()

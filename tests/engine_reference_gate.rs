@@ -1,5 +1,5 @@
-//! Engine reference gate: the slot-resolved VM and the bytecode dispatch
-//! VM must be byte-identical to the name-map reference interpreter over
+//! Engine reference gate: the bytecode dispatch VM must be
+//! byte-identical to the name-map reference interpreter over
 //! the whole in-tree corpus — the `examples/` programs plus every
 //! workload analogue — across all four observation schemes, both
 //! unconditional and sampled, with trace capture on.  Full [`RunResult`]
@@ -41,8 +41,8 @@ fn corpus() -> Vec<(String, String)> {
     sources
 }
 
-/// Runs `program` under all three engines with identical configuration
-/// and asserts full result equality.  Crashes are fine — the engines must
+/// Runs `program` under both engines with identical configuration and
+/// asserts full result equality.  Crashes are fine — the engines must
 /// crash identically.
 fn assert_engines_agree(
     label: &str,
@@ -51,8 +51,7 @@ fn assert_engines_agree(
     density: Option<SamplingDensity>,
 ) {
     let input = [5i64, 3, 7, 2, 9, 1, 4, 8, 6, 10];
-    let slots = cbi::minic::lower(program);
-    let bytecode = cbi_vm::bytecode::compile(&slots);
+    let bytecode = cbi_vm::bytecode::compile(&cbi::minic::lower(program));
 
     let mut reference = Vm::new(program);
     reference
@@ -60,8 +59,6 @@ fn assert_engines_agree(
         .with_sites(sites)
         .with_input(&input[..])
         .with_trace(16);
-    let mut fast = Vm::from_slots(&slots);
-    fast.with_sites(sites).with_input(&input[..]).with_trace(16);
     let mut dispatch = Vm::from_bytecode(&bytecode);
     dispatch
         .with_sites(sites)
@@ -69,14 +66,11 @@ fn assert_engines_agree(
         .with_trace(16);
     if let Some(d) = density {
         reference.with_sampling(Box::new(Geometric::new(d, 0xabc)));
-        fast.with_sampling(Box::new(Geometric::new(d, 0xabc)));
         dispatch.with_sampling(Box::new(Geometric::new(d, 0xabc)));
     }
 
     let r = reference.run().expect("vm config");
-    let f = fast.run().expect("vm config");
     let b = dispatch.run().expect("vm config");
-    assert_eq!(r, f, "{label}: slot engine diverged from reference");
     assert_eq!(r, b, "{label}: bytecode engine diverged from reference");
 }
 
@@ -136,8 +130,8 @@ fn campaign_reports_identical_across_engines_and_jobs() {
     let trials = ccrypt_trials(90, 17, &CcryptTrialConfig::default());
     for scheme in SCHEMES {
         let config = CampaignConfig::sampled(scheme, SamplingDensity::one_in(10));
-        let baseline = run_campaign(&program, &trials, &config.with_engine(Engine::Slots))
-            .expect("slot campaign");
+        let baseline = run_campaign(&program, &trials, &config.with_engine(Engine::NameMap))
+            .expect("namemap campaign");
         for engine in [Engine::Bytecode, Engine::NameMap] {
             for jobs in [1usize, 2, 4] {
                 let run = run_campaign(
@@ -183,31 +177,23 @@ fn corpus_scores_identical_across_engines() {
         .expect("evaluate");
         render_report(&report)
     };
-    let slot = eval(Engine::Slots);
     assert_eq!(
-        slot,
+        eval(Engine::NameMap),
         eval(Engine::Bytecode),
         "bytecode corpus eval diverged"
     );
-    assert_eq!(slot, eval(Engine::NameMap), "namemap corpus eval diverged");
 }
 
 #[test]
 fn engines_agree_on_empty_input() {
     // The no-input path exercises `has_input() == 0` branches (the ccrypt
-    // EOF crash among them); all engines must take them identically.
+    // EOF crash among them); both engines must take them identically.
     for (name, src) in corpus() {
         let program = parse(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         let inst = instrument(&program, Scheme::Returns).expect("instrument");
-        let slots = cbi::minic::lower(&inst.program);
-        let bytecode = cbi_vm::bytecode::compile(&slots);
+        let bytecode = cbi_vm::bytecode::compile(&cbi::minic::lower(&inst.program));
         let r = Vm::new(&inst.program)
             .with_engine(Engine::NameMap)
-            .with_sites(&inst.sites)
-            .with_trace(16)
-            .run()
-            .expect("vm config");
-        let f = Vm::from_slots(&slots)
             .with_sites(&inst.sites)
             .with_trace(16)
             .run()
@@ -217,7 +203,6 @@ fn engines_agree_on_empty_input() {
             .with_trace(16)
             .run()
             .expect("vm config");
-        assert_eq!(r, f, "{name}: slot engine diverged on empty input");
         assert_eq!(r, b, "{name}: bytecode engine diverged on empty input");
     }
 }

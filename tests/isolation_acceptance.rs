@@ -81,7 +81,7 @@ fn isolation_report_is_engine_independent() {
     };
     assert_eq!(
         render(cbi::vm::Engine::Bytecode),
-        render(cbi::vm::Engine::Slots),
-        "bytecode vs slot engines diverged"
+        render(cbi::vm::Engine::NameMap),
+        "bytecode vs namemap engines diverged"
     );
 }
